@@ -15,12 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.core.index import SCANIndex, build_index
-from repro.core.similarity import MEASURES, similarities_for_edges
+from repro.core.similarity import _check_measure, similarities_for_edges
 from repro.graph.graphframe import UndirectedGraph
+from repro.graph.triangles import load_csr
 from repro.lsh.minhash import minhash_edge_similarities, minhash_sketches
 from repro.lsh.simhash import simhash_edge_similarities, simhash_sketches
 
@@ -48,47 +50,47 @@ def approx_edge_similarities(
     minhash_variant: str = "oph",
     use_degree_heuristic: bool = True,
 ) -> tuple[DataFrame, ApproxStats]:
-    """(u, v, w, sim) per edge with LSH-approximated similarities."""
-    if measure not in MEASURES:
-        raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
+    """(u, v, w, sim) per edge with LSH-approximated similarities.
+
+    The call collects ``g``'s edges into a driver CSR (one Spark job),
+    validates them (``ValueError`` on bad input) and splits them by the
+    §6.3 degree rule; sketching and similarity computation are lazy.
+    """
+    _check_measure(measure)
     thr = degree_threshold(measure, k) if use_degree_heuristic else 0.0
-    deg = g.degrees()
-    e = g.edges.join(
-        F.broadcast(deg.withColumnRenamed("v", "u").withColumnRenamed("deg", "du")),
-        "u",
-    ).join(F.broadcast(deg.withColumnRenamed("deg", "dv")), "v")
-    is_approx = (F.col("du") > thr) & (F.col("dv") > thr)
-    approx_edges = e.where(is_approx).select("u", "v", "w").persist()
-    exact_edges = e.where(~is_approx).select("u", "v")
-    n_approx = approx_edges.count()
+    csr = load_csr(g, measure)
+    u, v, w = csr.edges()
+    is_approx = (csr.deg[u] > thr) & (csr.deg[v] > thr)
+    n_approx = int(is_approx.sum())
+    spark = g.spark
+
+    def local(mask: np.ndarray) -> DataFrame:
+        pdf = pd.DataFrame({"u": u[mask], "v": v[mask], "w": w[mask]})
+        return spark.createDataFrame(pdf, "u long, v long, w double")
 
     parts: list[DataFrame] = []
     n_sketched = 0
     if n_approx > 0:
-        scope = (
-            approx_edges.select(F.col("u").alias("v"))
-            .unionByName(approx_edges.select("v"))
-            .distinct()
-        )
+        approx_edges = local(is_approx)
+        sketched = np.unique(np.concatenate([u[is_approx], v[is_approx]]))
+        scope = spark.createDataFrame(pd.DataFrame({"v": sketched}), "v long")
         if measure == "jaccard":
             sk = minhash_sketches(g, k, seed, variant=minhash_variant, scope=scope)
             est = minhash_edge_similarities(approx_edges, sk, k, variant=minhash_variant)
         else:  # cosine / wcosine — SimHash handles weights natively
             sk = simhash_sketches(g, k, seed, scope=scope)
             est = simhash_edge_similarities(approx_edges, sk, k)
-        n_sketched = scope.count()
+        n_sketched = len(sketched)
         parts.append(approx_edges.join(est, ["u", "v"]).select("u", "v", "w", "sim"))
-    exact = similarities_for_edges(g, exact_edges, measure)
-    parts.append(exact)
+    if not parts or n_approx < len(u):  # skipped when every edge is sketched
+        parts.append(similarities_for_edges(g, local(~is_approx), measure, csr=csr))
     sims = parts[0] if len(parts) == 1 else parts[0].unionByName(parts[1])
     stats = ApproxStats(
         n_edges_approx=n_approx,
-        n_edges_exact=g.num_edges() - n_approx,
+        n_edges_exact=len(u) - n_approx,
         n_vertices_sketched=n_sketched,
         degree_threshold=thr,
     )
-    # approx_edges stays cached: the returned plan still references it
-    # (it is tiny; Spark evicts LRU under memory pressure).
     return sims, stats
 
 

@@ -4,7 +4,10 @@ Neighbor order ``NO[v]`` is the closed neighborhood of v sorted by
 descending similarity; since sigma(v, v) = 1 is always the maximum, the
 vertex itself is the implicit rank-1 entry and real neighbors occupy
 ranks 2..deg(v)+1. We materialize NO as a DataFrame
-``(u, v, sim, rank)`` (rank ≥ 2) — GS*-Index's per-list sorts become
+``(u, v, sim, rank)`` (rank ≥ 2). An exact build computes and ranks
+each vertex's rows inside the Spark task that owns the vertex
+(:func:`repro.core.similarity.neighbor_order`), so NO needs no
+shuffle; precomputed (e.g. approximate) similarities are ranked with
 one engine-wide window sort, the Spark counterpart of the paper's
 "one single integer sort over all lists" trick (§4.1.2).
 
@@ -27,7 +30,9 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 
-from repro.core.similarity import edge_similarities
+# edge_similarities is re-exported: the benchmark's traced run wraps it
+# here.
+from repro.core.similarity import edge_similarities, neighbor_order  # noqa: F401
 from repro.graph.graphframe import UndirectedGraph
 
 
@@ -119,13 +124,18 @@ def build_index(
     measure: str = "cosine",
     similarities: DataFrame | None = None,
 ) -> SCANIndex:
-    """Construct the SCAN index (not yet materialized; see persist()).
+    """Construct the SCAN index.
 
-    Passing precomputed ``similarities`` (u, v, sim) swaps in e.g. the
-    LSH-approximate similarities of :mod:`repro.core.approx`.
+    For an exact build the call itself collects ``g``'s edges into a
+    driver CSR (one Spark job) and validates them, raising
+    ``ValueError`` on bad input; only the NO/CO computation waits for
+    persist(). Passing precomputed ``similarities`` (u, v, sim) swaps
+    in e.g. the LSH-approximate similarities of
+    :mod:`repro.core.approx`.
     """
     if similarities is None:
-        similarities = edge_similarities(g, measure)
-    no = neighbor_order_from_similarities(similarities)
+        no = neighbor_order(g, measure)
+    else:
+        no = neighbor_order_from_similarities(similarities)
     co = core_order_from_neighbor_order(no)
     return SCANIndex(no, co, g.num_vertices, measure)

@@ -2,8 +2,9 @@
 
 PySpark has no GraphX binding, so this package *is* the graph engine
 for the reproduction: an undirected graph is a canonical edge DataFrame
-(``u < v``), vertex-centric steps are joins/aggregations, and sorted
-adjacency structures are rank columns.
+(``u < v``), vertex-centric steps are joins/aggregations, and
+neighbour-list intersections run on a driver-built CSR that Spark
+tasks receive in their closures.
 """
 from repro.graph.graphframe import UndirectedGraph, canonical_edges
 
